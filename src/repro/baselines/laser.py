@@ -14,8 +14,6 @@ from repro.baselines.pthreads import PthreadsRuntime
 from repro.core.config import TmiConfig
 from repro.core.detector import FalseSharingDetector
 from repro.isa.disasm import Disassembler
-from repro.isa.ops import (AtomicLoad, AtomicRMW, AtomicStore, Fence,
-                           Load, Store)
 from repro.oskit.perf import PerfSession
 from repro.oskit.procmaps import AddressMap
 
@@ -86,49 +84,44 @@ class LaserRuntime(PthreadsRuntime):
     # ------------------------------------------------------------------
     # repair: software store buffer at instrumented sites
     # ------------------------------------------------------------------
-    def exec_access_override(self, engine, thread, op):
+    def exec_access_override(self, engine, thread, site, addr, width,
+                             is_write, value, atomic):
         buffer = self._buffers.get(thread.tid)
-        if isinstance(op, Store):
-            if op.site.pc not in self.instrumented_pcs:
-                return None
-            if buffer is None:
-                buffer = {}
-                self._buffers[thread.tid] = buffer
-            buffer[(op.addr, op.width)] = (op.value, op.site.pc)
-            thread.stores += 1
-            cost = STORE_INSTR_COST
-            if len(buffer) >= BUFFER_CAPACITY:
-                cost += self._drain(engine, thread)
-            return cost, None
-        if isinstance(op, Load):
-            if buffer:
-                entry = buffer.get((op.addr, op.width))
-                if entry is not None:
-                    thread.loads += 1
-                    return FORWARD_COST, entry[0]
-                if any(a == op.addr for a, _w in buffer):
-                    # width-mismatched aliasing: drain for correctness,
-                    # then let the normal load path run
-                    drain_cost = self._drain(engine, thread)
-                    engine.machine.advance(thread.core, drain_cost)
-            if op.site.pc in self.instrumented_pcs:
-                # instrumented load: pays the lookup even on miss
-                translation = self.translate(engine, thread, op, op.addr,
-                                             op.width, False)
-                traffic, value = engine.machine.mem_access(
-                    thread.core, thread.tid, op.site.pc, op.addr,
-                    translation.pa, op.width, False)
-                thread.loads += 1
-                return (LOAD_INSTR_COST + translation.cost + traffic,
-                        value)
-            return None
-        if isinstance(op, (AtomicRMW, AtomicLoad, AtomicStore, Fence)):
-            # TSO: atomics and fences order the store buffer
+        if atomic:
+            # TSO: atomics order the store buffer
             if buffer:
                 drain_cost = self._drain(engine, thread)
                 if drain_cost:
                     engine.machine.advance(thread.core, drain_cost)
             return None
+        pc = site.pc
+        if is_write:
+            if pc not in self.instrumented_pcs:
+                return None
+            if buffer is None:
+                buffer = {}
+                self._buffers[thread.tid] = buffer
+            buffer[(addr, width)] = (value, pc)
+            cost = STORE_INSTR_COST
+            if len(buffer) >= BUFFER_CAPACITY:
+                cost += self._drain(engine, thread)
+            return cost, None
+        if buffer:
+            entry = buffer.get((addr, width))
+            if entry is not None:
+                return FORWARD_COST, entry[0]
+            if any(a == addr for a, _w in buffer):
+                # width-mismatched aliasing: drain for correctness,
+                # then let the normal load path run
+                drain_cost = self._drain(engine, thread)
+                engine.machine.advance(thread.core, drain_cost)
+        if pc in self.instrumented_pcs:
+            # instrumented load: pays the lookup even on miss
+            pa, cost = self.translate(engine, thread, None, addr, width,
+                                      False)
+            traffic, loaded = engine.machine.mem_access(
+                thread.core, thread.tid, pc, addr, pa, width, False)
+            return LOAD_INSTR_COST + cost + traffic, loaded
         return None
 
     def _drain(self, engine, thread, reason="pressure"):
@@ -139,12 +132,11 @@ class LaserRuntime(PthreadsRuntime):
             return 0
         cost = 0
         for (addr, width), (value, pc) in buffer.items():
-            translation = self.translate(engine, thread, None, addr,
-                                         width, True)
+            pa, translate_cost = self.translate(engine, thread, None, addr,
+                                                width, True)
             traffic, _ = engine.machine.mem_access(
-                thread.core, thread.tid, pc, addr, translation.pa,
-                width, True, value)
-            cost += traffic + DRAIN_PER_STORE + translation.cost
+                thread.core, thread.tid, pc, addr, pa, width, True, value)
+            cost += traffic + DRAIN_PER_STORE + translate_cost
         buffer.clear()
         self.drains += 1
         return cost

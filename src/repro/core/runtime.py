@@ -27,7 +27,7 @@ from repro.oskit.loader import CallbackTable
 from repro.oskit.perf import PerfSession
 from repro.oskit.procmaps import AddressMap
 from repro.oskit.shm import SharedMemoryNamespace
-from repro.sim.addrspace import AddressSpace, Translation
+from repro.sim.addrspace import AddressSpace
 from repro.sim.costs import PAGE_4K
 
 STAGE_ALLOC = "alloc"
@@ -179,11 +179,12 @@ class TmiRuntime(RuntimeHooks):
         aspace = thread.process.aspace
         if thread.process.ptsb is not None and \
                 self.policy.access_bypasses_ptsb(thread, op):
-            return Translation(pa=aspace.shared_pa(va), cost=0)
+            return aspace.shared_pa(va), 0
         pa = aspace.fast_pa(va, width)
         if pa is not None:
-            return Translation(pa=pa, cost=0)
-        return aspace.translate(va, width, is_write)
+            return pa, 0
+        translation = aspace.translate(va, width, is_write)
+        return translation.pa, translation.cost
 
     # ------------------------------------------------------------------
     # synchronization interposition

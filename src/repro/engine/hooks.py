@@ -60,10 +60,17 @@ class RuntimeHooks:
     # ------------------------------------------------------------------
     # memory operations
     # ------------------------------------------------------------------
-    def exec_access_override(self, engine, thread, op):
-        """Fully intercept a data access; return ``(cost, value)`` or
+    def exec_access_override(self, engine, thread, site, addr, width,
+                             is_write, value, atomic):
+        """Fully intercept one data access; return ``(cost, value)`` or
         None to use the engine's default path (LASER's software store
-        buffer lives here)."""
+        buffer lives here).
+
+        The access is given as scalars: the instruction ``site``, the
+        virtual ``addr`` and ``width``, whether it writes, the stored
+        ``value`` (None for loads and RMWs), and whether it is atomic.
+        The engine counts the access either way.
+        """
         return None
 
     def translate(self, engine, thread, op, va, width, is_write):
@@ -71,9 +78,12 @@ class RuntimeHooks:
 
         Runtimes implementing code-centric consistency route atomic,
         assembly, and volatile accesses to the always-shared mapping
-        here.  Returns a :class:`~repro.sim.addrspace.Translation`.
+        here.  ``op`` is the ISA op the access belongs to (a batched
+        run or sequence for its elements; None for a runtime's own
+        accesses).  Returns ``(pa, cost)``.
         """
-        return thread.process.aspace.translate(va, width, is_write)
+        translation = thread.process.aspace.translate(va, width, is_write)
+        return translation.pa, translation.cost
 
     def access_extra_cost(self, engine, thread, op):
         """Extra cycles charged per data access (instrumentation)."""

@@ -34,10 +34,25 @@ from repro.isa.lowering import validate_run
 from repro.sync.objects import Barrier, Condvar, Mutex
 
 
+#: Op classes that take the atomic branch of the observer and override.
+_ATOMIC_OPS = (O.AtomicLoad, O.AtomicStore, O.AtomicRMW)
+
+
 def _ready_order(thread):
     """Candidate sort key: the heap's (ready_time, seq) order, so index
     0 is always the thread the default scheduler would run."""
     return (thread.ready_time, thread.seq)
+
+
+def _rmw_result(op, old):
+    """The word an :class:`~repro.isa.ops.AtomicRMW` stores over ``old``."""
+    if op.op == "add":
+        return old + op.operand
+    if op.op == "xchg":
+        return op.operand
+    if op.op == "cas":
+        return op.operand if old == op.expected else old
+    raise SimulationError(f"unknown RMW op {op.op!r}")
 
 
 class Engine:
@@ -72,7 +87,7 @@ class Engine:
         self.processes = {}
         self._next_tid = 0
         self._next_pid = 0
-        self._heap = []                # (ready_time, seq, tid)
+        self._heap = []                # (ready_time, seq, thread)
         self._seq = 0
         self._stop_world = []          # pending monitor callbacks
         self._next_tick = runtime.tick_cycles or None
@@ -114,18 +129,15 @@ class Engine:
 
         # Type-keyed dispatch: one dict probe on the op's exact class
         # instead of walking an isinstance chain per op.  Op classes are
-        # final (frozen, slotted dataclasses), so exact-class keying is
-        # sound.
+        # final (slotted dataclasses), so exact-class keying is sound.
         self._exec_table = {
             O.Compute: self._exec_compute,
-            O.Load: self._exec_load,
-            O.Store: self._exec_store,
             O.AccessRun: self._exec_run_op,
             O.RmwSeq: self._exec_seq_op,
             O.StoreSeq: self._exec_seq_op,
-            O.AtomicLoad: self._exec_access,
-            O.AtomicStore: self._exec_access,
-            O.AtomicRMW: self._exec_access,
+            O.AtomicLoad: self._exec_atomic,
+            O.AtomicStore: self._exec_atomic,
+            O.AtomicRMW: self._exec_atomic,
             O.BulkTouch: self._exec_bulk,
             O.RegionBegin: self._exec_region_begin,
             O.RegionEnd: self._exec_region_end,
@@ -224,23 +236,30 @@ class Engine:
 
     def _run_heap_loop(self):
         """The original heap-driven scheduling loop (fast path)."""
-        while self._heap:
-            ready_time, seq, tid = heapq.heappop(self._heap)
-            thread = self.threads[tid]
+        heap = self._heap
+        heappop = heapq.heappop
+        dispatch = self._dispatch
+        core_clock = self.machine.core_clock
+        max_cycles = self.max_cycles
+        vector = self._vector
+        while heap:
+            ready_time, seq, thread = heappop(heap)
             if thread.state != READY or thread.seq != seq:
                 continue
             if self._stop_world:
                 self._park(thread, ready_time)
                 continue
-            self._dispatch(thread, ready_time)
-            vector = self._vector
+            dispatch(thread, ready_time)
             if vector is not None and vector.hint:
                 vector.hint = False
                 vector.try_lockstep()
-            if self._next_tick is not None:
+            now = max(core_clock)
+            next_tick = self._next_tick
+            if next_tick is not None and now >= next_tick:
                 self._run_ticks()
-            if self.machine.now > self.max_cycles:
-                raise CycleBudgetError(self.machine.now, self.max_cycles,
+                now = max(core_clock)
+            if now > max_cycles:
+                raise CycleBudgetError(now, max_cycles,
                                        trace=self.schedule_trace())
 
     def _run_policy_loop(self):
@@ -392,7 +411,7 @@ class Engine:
         thread.ready_time = at_time
         self._seq += 1
         thread.seq = self._seq
-        heapq.heappush(self._heap, (at_time, self._seq, thread.tid))
+        heapq.heappush(self._heap, (at_time, self._seq, thread))
 
     def _park(self, thread, ready_time):
         thread.state = PARKED
@@ -415,17 +434,22 @@ class Engine:
                                max(thread.ready_time, stop_time) + penalty)
 
     def _dispatch(self, thread, ready_time):
-        clock = max(self.machine.core_clock[thread.core], ready_time)
-        clock += thread.pending_penalty
-        thread.pending_penalty = 0
-        self.machine.core_clock[thread.core] = clock
-        if thread.run_op is not None:
+        core_clock = self.machine.core_clock
+        core = thread.core
+        clock = core_clock[core]
+        if ready_time > clock:
+            clock = ready_time
+        if thread.pending_penalty:
+            clock += thread.pending_penalty
+            thread.pending_penalty = 0
+        core_clock[core] = clock
+        run_op = thread.run_op
+        if run_op is not None:
             # resume an in-flight AccessRun/RmwSeq/StoreSeq without
             # re-entering the generator
             if self._policy_notify:
-                self.policy.notify_op(thread.tid,
-                                      thread.run_op.__class__.__name__)
-            if thread.run_op.__class__ is O.AccessRun:
+                self.policy.notify_op(thread.tid, run_op.__class__.__name__)
+            if run_op.__class__ is O.AccessRun:
                 self._run_accesses(thread)
             else:
                 self._run_seq(thread)
@@ -439,16 +463,34 @@ class Engine:
         thread.ops += 1
         if self._policy_notify:
             self.policy.notify_op(thread.tid, op.__class__.__name__)
-        handler = self._exec_table.get(op.__class__)
-        if handler is None:
-            raise SimulationError(f"unknown op {op!r}")
-        cost, value, blocked = handler(thread, op)
-        if blocked:
-            return
-        self.machine.advance(thread.core, cost)
+        cls = op.__class__
+        # plain loads and stores, the bulk of yielded ops, skip the
+        # handler table
+        if cls is O.Load:
+            thread.loads += 1
+            cost, value = self._access(thread, op, op.site, op.addr,
+                                       op.width, False)
+        elif cls is O.Store:
+            thread.stores += 1
+            cost, value = self._access(thread, op, op.site, op.addr,
+                                       op.width, True, op.value)
+        else:
+            handler = self._exec_table.get(cls)
+            if handler is None:
+                raise SimulationError(f"unknown op {op!r}")
+            cost, value, blocked = handler(thread, op)
+            if blocked:
+                return
+        # advance the clock and re-schedule (_schedule, inlined)
+        clock = core_clock[core] + cost
+        core_clock[core] = clock
         thread.cycles += cost
         thread.pending_value = value
-        self._schedule(thread, self.machine.core_clock[thread.core])
+        thread.state = READY
+        thread.ready_time = clock
+        self._seq = seq = self._seq + 1
+        thread.seq = seq
+        heapq.heappush(self._heap, (clock, seq, thread))
 
     def _finish_thread(self, thread):
         if thread.region_stack:
@@ -484,13 +526,6 @@ class Engine:
     # ------------------------------------------------------------------
     # op execution
     # ------------------------------------------------------------------
-    def _exec(self, thread, op):
-        """Execute one op; returns (cost, value_to_send, blocked)."""
-        handler = self._exec_table.get(op.__class__)
-        if handler is None:
-            raise SimulationError(f"unknown op {op!r}")
-        return handler(thread, op)
-
     def _exec_compute(self, thread, op):
         return op.cycles, None, False
 
@@ -563,134 +598,134 @@ class Engine:
     # ------------------------------------------------------------------
     # data accesses
     # ------------------------------------------------------------------
-    def _translate_pa(self, thread, op, va, width, is_write):
-        """(pa, cost) for one access, taking every fast lane the active
-        runtime's hook overrides allow."""
+    def _access(self, thread, op, site, addr, width, is_write, value=None):
+        """The one per-access step every data access takes.
+
+        ``op`` is the ISA op the access belongs to: a single load, store
+        or atomic, or the :class:`~repro.isa.ops.AccessRun` /
+        :class:`~repro.isa.ops.RmwSeq` / :class:`~repro.isa.ops.StoreSeq`
+        it is one element of; hooks read only its class and ``volatile``
+        flag.  The step emits the observer callback, lets the runtime
+        intercept (``exec_access_override``), translates (the runtime's
+        hook, else the address space's translation cache), adds the
+        runtime's extra cost, then runs coherence and moves the data:
+        what :meth:`~repro.sim.machine.Machine.mem_access` does, driven
+        here directly to save a call per access.
+
+        Returns ``(cost, value)``: the loaded word for a load, the old
+        word for an atomic RMW, None for a store.  Callers count the
+        access and advance the clock.
+        """
+        observer = self._observer
+        if observer is not None:
+            if op.__class__ in _ATOMIC_OPS:
+                observer.on_atomic(thread.tid, site, addr, width, is_write,
+                                   op.__class__ is O.AtomicRMW, op.ordering)
+            else:
+                observer.on_access(thread.tid, site, addr, width, is_write,
+                                   op.volatile)
+        runtime = self.runtime
+        if self._rt_override:
+            override = runtime.exec_access_override(
+                self, thread, site, addr, width, is_write, value,
+                op.__class__ in _ATOMIC_OPS)
+            if override is not None:
+                return override
         if self._rt_translate:
-            translation = self.runtime.translate(self, thread, op, va,
-                                                 width, is_write)
-            return translation.pa, translation.cost
-        aspace = thread.process.aspace
-        pa = aspace.fast_pa(va, width)
-        if pa is not None:
-            return pa, 0
-        translation = aspace.translate(va, width, is_write)
-        return translation.pa, translation.cost
-
-    def _exec_load(self, thread, op):
-        if self._observer is not None:
-            self._observer.on_access(thread.tid, op.site, op.addr,
-                                     op.width, False, op.volatile)
-        if self._rt_override:
-            override = self.runtime.exec_access_override(self, thread, op)
-            if override is not None:
-                return override[0], override[1], False
-        pa, cost = self._translate_pa(thread, op, op.addr, op.width, False)
-        if self._rt_extra:
-            cost += self.runtime.access_extra_cost(self, thread, op)
-        thread.loads += 1
-        traffic, value = self.machine.mem_access(
-            thread.core, thread.tid, op.site.pc, op.addr, pa,
-            op.width, False)
-        return cost + traffic, value, False
-
-    def _exec_store(self, thread, op):
-        if self._observer is not None:
-            self._observer.on_access(thread.tid, op.site, op.addr,
-                                     op.width, True, op.volatile)
-        if self._rt_override:
-            override = self.runtime.exec_access_override(self, thread, op)
-            if override is not None:
-                return override[0], override[1], False
-        pa, cost = self._translate_pa(thread, op, op.addr, op.width, True)
-        if self._rt_extra:
-            cost += self.runtime.access_extra_cost(self, thread, op)
-        thread.stores += 1
-        traffic, _ = self.machine.mem_access(
-            thread.core, thread.tid, op.site.pc, op.addr, pa,
-            op.width, True, op.value)
-        return cost + traffic, None, False
-
-    def _exec_access(self, thread, op):
-        """Atomic accesses (and the pre-fast-path generic fallback)."""
-        if self._observer is not None:
-            is_rmw = isinstance(op, O.AtomicRMW)
-            observed_write = is_rmw or isinstance(
-                op, (O.Store, O.AtomicStore))
-            if isinstance(op, (O.AtomicLoad, O.AtomicStore, O.AtomicRMW)):
-                self._observer.on_atomic(
-                    thread.tid, op.site, op.addr, op.width,
-                    observed_write, is_rmw, op.ordering)
-            else:
-                self._observer.on_access(
-                    thread.tid, op.site, op.addr, op.width,
-                    observed_write, op.volatile)
-        if self._rt_override:
-            override = self.runtime.exec_access_override(self, thread, op)
-            if override is not None:
-                cost, value = override
-                return cost, value, False
-
-        machine = self.machine
-        is_write = isinstance(op, (O.Store, O.AtomicStore, O.AtomicRMW))
-        pa, cost = self._translate_pa(thread, op, op.addr, op.width,
-                                      is_write)
-        if self._rt_extra:
-            cost += self.runtime.access_extra_cost(self, thread, op)
-        value = None
-
-        if isinstance(op, O.AtomicRMW):
-            thread.atomics += 1
-            old = machine.physmem.read_int(pa, op.width)
-            if op.op == "add":
-                new = old + op.operand
-            elif op.op == "xchg":
-                new = op.operand
-            elif op.op == "cas":
-                new = op.operand if old == op.expected else old
-            else:
-                raise SimulationError(f"unknown RMW op {op.op!r}")
-            traffic, _ = machine.mem_access(
-                thread.core, thread.tid, op.site.pc, op.addr, pa,
-                op.width, True, new)
-            cost += traffic + self.costs.atomic_extra
-            value = old
-        elif is_write:
-            if isinstance(op, O.AtomicStore):
-                thread.atomics += 1
-                if op.ordering == O.SEQ_CST:
-                    cost += self.costs.fence
-            else:
-                thread.stores += 1
-            traffic, _ = machine.mem_access(
-                thread.core, thread.tid, op.site.pc, op.addr, pa,
-                op.width, True, op.value)
-            cost += traffic
+            pa, cost = runtime.translate(self, thread, op, addr, width,
+                                         is_write)
         else:
-            if isinstance(op, O.AtomicLoad):
-                thread.atomics += 1
+            aspace = thread.process.aspace
+            entry = aspace._tcache.get(addr >> 12)
+            if entry is not None and addr + width <= entry[1]:
+                pa = addr + entry[0]
+                cost = 0
             else:
-                thread.loads += 1
-            traffic, value = machine.mem_access(
-                thread.core, thread.tid, op.site.pc, op.addr, pa,
-                op.width, False)
-            cost += traffic
+                translation = aspace.translate(addr, width, is_write)
+                pa = translation.pa
+                cost = translation.cost
+        if self._rt_extra:
+            cost += runtime.access_extra_cost(self, thread, op)
+        machine = self.machine
+        loaded = None
+        if is_write and op.__class__ is O.AtomicRMW:
+            loaded = machine.physmem.read_int(pa, width)
+            value = _rmw_result(op, loaded)
+        core = thread.core
+        now = machine.core_clock[core]
+        outcome = machine.directory.access(core, pa, width, is_write, now)
+        cost += outcome.cost
+        if outcome.hitm_remotes:
+            cost += machine.fire_hitm(outcome.hitm_remotes, now, core,
+                                      thread.tid, site.pc, addr, pa, width,
+                                      is_write)
+        if is_write:
+            machine.physmem.write_int(pa, value, width)
+            return cost, loaded
+        return cost, machine.physmem.read_int(pa, width)
+
+    def _exec_atomic(self, thread, op):
+        thread.atomics += 1
+        cls = op.__class__
+        cost, value = self._access(
+            thread, op, op.site, op.addr, op.width, cls is not O.AtomicLoad,
+            op.value if cls is O.AtomicStore else None)
+        if cls is O.AtomicRMW:
+            cost += self.costs.atomic_extra
+        elif cls is O.AtomicStore and op.ordering == O.SEQ_CST:
+            cost += self.costs.fence
         return cost, value, False
 
     # ------------------------------------------------------------------
     # batched access runs
     # ------------------------------------------------------------------
+    def _switch_bounds(self, core_clock):
+        """Where a resumed AccessRun/RmwSeq/StoreSeq continuation must
+        yield the core: ``(limit, hard, head_ready, now)``.
+
+        Nothing is pushed to or popped from the ready heap while a
+        continuation executes, and only the running core's clock moves,
+        so the earliest other ready time (``head_ready``; stale heap
+        entries are dropped once, exactly as the main loop would have
+        before each op) and ``now = max(core_clock)`` are constants of
+        the resume.  The serial engine would have switched away after
+        the first access whose clock reaches ``limit``, the earlier of
+        ``head_ready`` and ``hard`` (a due tick, the cycle budget; 0 in
+        policy mode, where every access is a decision point), or when a
+        stop-the-world is pending.
+        """
+        heap = self._heap
+        while heap:
+            _ready, seq, waiter = heap[0]
+            if waiter.state == READY and waiter.seq == seq:
+                break
+            heapq.heappop(heap)
+        head_ready = heap[0][0] if heap else None
+        now = max(core_clock)
+        max_cycles = self.max_cycles
+        hard = max_cycles + 1 if now <= max_cycles else 0
+        next_tick = self._next_tick
+        if next_tick is not None:
+            if now >= next_tick:
+                hard = 0
+            elif next_tick < hard:
+                hard = next_tick
+        if self.policy is not None:
+            hard = 0
+        limit = hard if head_ready is None or head_ready > hard \
+            else head_ready
+        return limit, hard, head_ready, now
+
     def _exec_run_op(self, thread, op):
         """Begin an :class:`~repro.isa.ops.AccessRun`.
 
         The run executes access-by-access, advancing the owning core's
         clock exactly as an unbatched loop would, and yields back to the
         scheduler at precisely the points where the serial engine would
-        have context-switched: another runnable thread's ready time
-        reaching this core's clock, a pending stop-the-world, a due
-        runtime tick, or the cycle budget.  The continuation lives on
-        the thread (``run_op``/``run_index``/``run_values``), so resuming
-        does not touch the workload generator.
+        have context-switched (see :meth:`_switch_bounds`).  The
+        continuation lives on the thread (``run_op``/``run_index``/
+        ``run_values``), so resuming does not touch the workload
+        generator.
         """
         # reject malformed shapes before a single access executes, so
         # the serial and vector paths fail with the same typed error at
@@ -704,67 +739,25 @@ class Engine:
 
     def _run_accesses(self, thread):
         op = thread.run_op
-        machine = self.machine
         core = thread.core
-        core_clock = machine.core_clock
-        heap = self._heap
-        threads = self.threads
-        runtime = self.runtime
+        core_clock = self.machine.core_clock
+        access = self._access
+        site = op.site
         count = op.count
         stride = op.stride
         width = op.width
         is_write = op.is_write
         value = op.value
-        pc = op.site.pc
         values = thread.run_values
-        tid = thread.tid
-        max_cycles = self.max_cycles
-        next_tick = self._next_tick
-        rt_translate = self._rt_translate
-        rt_extra = self._rt_extra
-        observer = self._observer
-        # LASER-style full interception needs the per-access op stream;
-        # synthesize singles and take the unbatched path
-        single_cls = (O.Store if is_write else O.Load) \
-            if self._rt_override else None
-        aspace = thread.process.aspace
-        mem_access = machine.mem_access
-        # bound objects, not snapshots: _tcache/_fast are mutated in
-        # place (cleared, never reassigned) so the bindings stay live
-        tcache = aspace._tcache
-        dir_access = machine.directory.access
-        write_int = machine.physmem.write_int
-        read_int = machine.physmem.read_int
-        # with no HITM listeners (plain pthreads), mem_access degenerates
-        # to directory + physmem; drive those directly
-        plain = not machine._hitm_listeners
-        # only this core's clock moves while the run executes, so the
-        # other cores' contribution to machine.now is a constant
-        others_max = 0
-        for c in range(len(core_clock)):
-            if c != core and core_clock[c] > others_max:
-                others_max = core_clock[c]
-        index = thread.run_index
-        start_index = index
+        limit, _hard, head_ready, now = self._switch_bounds(core_clock)
+        index = start_index = thread.run_index
         addr = op.addr + index * stride
         clock = core_clock[core]
-        # nothing is pushed to or popped from the ready heap while the
-        # run executes (the engine only re-schedules when it ends), so
-        # the earliest other ready time is a constant: drop stale heap
-        # entries once and peek once, exactly as the main loop would
-        # have before each op
-        while heap:
-            ready_time, seq, next_tid = heap[0]
-            waiter = threads[next_tid]
-            if waiter.state == READY and waiter.seq == seq:
-                break
-            heapq.heappop(heap)
-        head_ready = heap[0][0] if heap else None
         vector = self._vector
         comp = None
         batched = 0
         fast_cost = -1
-        if vector is not None and single_cls is None:
+        if vector is not None:
             # identity memo: the same run object is re-dispatched many
             # times, so hash the op dataclass once per run, not once
             # per dispatch
@@ -789,8 +782,8 @@ class Engine:
                 # falls through so the blocking access runs serially
                 try_vector = False
                 advanced = vector.advance(
-                    thread, comp, index, addr, clock, others_max,
-                    head_ready, next_tick, max_cycles)
+                    thread, comp, index, addr, clock, now, head_ready,
+                    self._next_tick, self.max_cycles)
                 if advanced is not None:
                     k, clock, brk = advanced
                     index += k
@@ -801,55 +794,10 @@ class Engine:
                         # contention — stay hot for the next dispatch
                         try_vector = True
                         break
-            if single_cls is not None:
-                if is_write:
-                    single = O.Store(op.site, addr, value, width,
-                                     op.volatile)
-                    cost, _v, _b = self._exec_store(thread, single)
-                else:
-                    single = O.Load(op.site, addr, width, op.volatile)
-                    cost, loaded, _b = self._exec_load(thread, single)
-                    values.append(loaded)
-            else:
-                if observer is not None:
-                    observer.on_access(tid, op.site, addr, width,
-                                       is_write, op.volatile)
-                if rt_translate:
-                    translation = runtime.translate(
-                        self, thread, op, addr, width, is_write)
-                    pa = translation.pa
-                    cost = translation.cost
-                else:
-                    entry = tcache.get(addr >> 12)
-                    if entry is not None and addr + width <= entry[1]:
-                        pa = addr + entry[0]
-                        cost = 0
-                    else:
-                        translation = aspace.translate(addr, width,
-                                                       is_write)
-                        pa = translation.pa
-                        cost = translation.cost
-                if rt_extra:
-                    cost += runtime.access_extra_cost(self, thread, op)
-                if plain:
-                    outcome = dir_access(core, pa, width, is_write,
-                                         clock)
-                    cost += outcome.cost
-                    if outcome.hitm_remotes:
-                        machine.hitm_events += len(outcome.hitm_remotes)
-                    if is_write:
-                        write_int(pa, value, width)
-                    else:
-                        values.append(read_int(pa, width))
-                elif is_write:
-                    traffic, _ = mem_access(core, tid, pc, addr, pa,
-                                            width, True, value)
-                    cost += traffic
-                else:
-                    traffic, loaded = mem_access(core, tid, pc, addr, pa,
-                                                 width, False)
-                    cost += traffic
-                    values.append(loaded)
+            cost, loaded = access(thread, op, site, addr, width, is_write,
+                                  value)
+            if not is_write:
+                values.append(loaded)
             index += 1
             addr += stride
             clock += cost
@@ -859,37 +807,18 @@ class Engine:
                 # a hit-priced access means the line is (re)installed in
                 # the owner micro-cache: worth re-trying the batch kernel
                 try_vector = True
-            if index >= count:
-                break
-            # --- would the serial engine have switched away here? ---
-            if self.policy is not None:
-                # policy mode: every access is a decision point.  Under
-                # the default policy this is schedule-identical to the
-                # batched path — re-dispatching resumes the run at the
-                # same clock — so cycle counts don't move.
-                break
-            if self._stop_world:
-                break
-            now = clock if clock > others_max else others_max
-            if next_tick is not None and now >= next_tick:
-                break
-            if now > max_cycles:
-                break
-            if head_ready is not None and head_ready <= clock:
+            if index >= count or clock >= limit or self._stop_world:
                 break
         thread.run_index = index
         if comp is not None:
             thread.vec_hot = try_vector
             if index - start_index > batched:
-                vector.note_fallback(tid, clock,
+                vector.note_fallback(thread.tid, clock,
                                      index - start_index - batched)
-        if single_cls is None:
-            # _exec_load/_exec_store count for the synthesized-singles
-            # path; the inline path counts the whole batch here
-            if is_write:
-                thread.stores += index - start_index
-            else:
-                thread.loads += index - start_index
+        if is_write:
+            thread.stores += index - start_index
+        else:
+            thread.loads += index - start_index
         if index >= count:
             thread.run_op = None
             thread.run_values = None
@@ -901,15 +830,32 @@ class Engine:
         :class:`~repro.isa.ops.StoreSeq`.
 
         Like :meth:`_exec_run_op`, the sequence executes element-by-
-        element (each load/store through the full single-access path —
-        observer callbacks, runtime hooks, coherence — and each compute
+        element (each load/store through :meth:`_access`, each compute
         step as pure clock advance), yielding the core at exactly the
         points the unbatched multi-yield loop would.  The continuation
         lives on the thread; ``run_index`` counts *sub-ops* (each
         element is its load/store/compute steps in order), so a break
-        can land between an element's load and its store.
+        can land between an element's load and its store.  The op's
+        constants are unpacked once into ``run_plan``: ``(first,
+        nphases, total, load_site, store_site, addrs, const_delta,
+        deltas, mask)``, where a StoreSeq skips the load step
+        (``first`` 1), stores ``deltas[element]`` (its values) at the
+        one address ``addrs``, and an RmwSeq stores the loaded word plus
+        its delta.
         """
+        if op.__class__ is O.RmwSeq:
+            nphases = 3 if op.compute else 2
+            deltas = op.deltas
+            plan = (0, nphases, len(op.addrs) * nphases, op.load_site,
+                    op.store_site, op.addrs,
+                    deltas if isinstance(deltas, int) else None, deltas,
+                    (1 << (8 * op.width)) - 1)
+        else:
+            nphases = 2 if op.compute else 1
+            plan = (1, nphases, len(op.values) * nphases, None, op.site,
+                    op.addr, None, op.values, 0)
         thread.run_op = op
+        thread.run_plan = plan
         thread.run_index = 0
         thread.run_values = None
         self._run_seq(thread)
@@ -917,114 +863,71 @@ class Engine:
 
     def _run_seq(self, thread):
         op = thread.run_op
-        machine = self.machine
-        core = thread.core
-        core_clock = machine.core_clock
-        heap = self._heap
-        threads = self.threads
-        is_rmw = op.__class__ is O.RmwSeq
-        compute = op.compute
+        (first, nphases, total, load_site, store_site, addrs, const_delta,
+         deltas, mask) = thread.run_plan
         width = op.width
-        volatile = op.volatile
-        if is_rmw:
-            addrs = op.addrs
-            deltas = op.deltas
-            const_delta = deltas if isinstance(deltas, int) else None
-            count = len(addrs)
-            nphases = 3 if compute else 2
-            mask = (1 << (8 * width)) - 1
-            load_site = op.load_site
-            store_site = op.store_site
-        else:
-            seq_values = op.values
-            seq_addr = op.addr
-            count = len(seq_values)
-            nphases = 2 if compute else 1
-            site = op.site
-        total = count * nphases
-        max_cycles = self.max_cycles
-        next_tick = self._next_tick
-        exec_load = self._exec_load
-        exec_store = self._exec_store
-        vector = self._vector
-        load_hit = self.costs.load_hit
-        store_hit = self.costs.store_hit
+        compute = op.compute
+        core = thread.core
+        core_clock = self.machine.core_clock
+        access = self._access
+        costs = self.costs
+        load_hit = costs.load_hit
+        store_hit = costs.store_hit
+        limit, hard, _head, _now = self._switch_bounds(core_clock)
         # whether the latest access was hit-priced: a head-ready break
         # after a fast hit is the round-robin steady state the seq
         # lockstep kernel extrapolates, so it is worth hinting
         fastish = False
-        # same dispatch-loop constants as _run_accesses: other cores'
-        # clocks and the earliest other ready time cannot change while
-        # this continuation runs
-        others_max = 0
-        for c in range(len(core_clock)):
-            if c != core and core_clock[c] > others_max:
-                others_max = core_clock[c]
         index = thread.run_index
-        while heap:
-            ready_time, seq, next_tid = heap[0]
-            waiter = threads[next_tid]
-            if waiter.state == READY and waiter.seq == seq:
-                break
-            heapq.heappop(heap)
-        head_ready = heap[0][0] if heap else None
-        clock = core_clock[core]
+        # step 0 loads, 1 stores, 2 computes; a StoreSeq starts at 1
+        element, step = divmod(index, nphases)
+        step += first
+        last_step = 2 if compute else 1
         while True:
-            element, phase = divmod(index, nphases)
-            if is_rmw:
-                if phase == 0:
-                    single = O.Load(load_site, addrs[element], width,
-                                    volatile)
-                    cost, loaded, _b = exec_load(thread, single)
-                    thread.run_values = loaded
-                    fastish = cost <= load_hit
-                elif phase == 1:
+            if step == 0:
+                cost, thread.run_values = access(
+                    thread, op, load_site, addrs[element], width, False)
+                thread.loads += 1
+                fastish = cost <= load_hit
+            elif step == 1:
+                if first:
+                    cost, _ = access(thread, op, store_site, addrs, width,
+                                     True, deltas[element])
+                else:
                     delta = (const_delta if const_delta is not None
                              else deltas[element])
-                    single = O.Store(
-                        store_site, addrs[element],
-                        (thread.run_values + delta) & mask, width,
-                        volatile)
-                    cost, _v, _b = exec_store(thread, single)
+                    cost, _ = access(thread, op, store_site, addrs[element],
+                                     width, True,
+                                     (thread.run_values + delta) & mask)
                     thread.run_values = None
-                    fastish = cost <= store_hit
-                else:
-                    cost = compute
-            elif phase == 0:
-                single = O.Store(site, seq_addr, seq_values[element],
-                                 width, volatile)
-                cost, _v, _b = exec_store(thread, single)
+                thread.stores += 1
                 fastish = cost <= store_hit
             else:
                 cost = compute
-            # handlers may advance the core clock internally (e.g. a
-            # store-buffer drain), so add the returned cost on top of
-            # the live clock exactly as _dispatch's machine.advance does
-            core_clock[core] += cost
-            clock = core_clock[core]
+            # the access may advance the core clock internally (e.g. a
+            # store-buffer drain), so add the cost on top of the live
+            # clock exactly as _dispatch does
+            clock = core_clock[core] + cost
+            core_clock[core] = clock
             thread.cycles += cost
             index += 1
-            if index >= total:
+            if index >= total or clock >= limit or self._stop_world:
                 break
-            # --- would the serial engine have switched away here? ---
-            if self.policy is not None:
-                break
-            if self._stop_world:
-                break
-            now = clock if clock > others_max else others_max
-            if next_tick is not None and now >= next_tick:
-                break
-            if now > max_cycles:
-                break
-            if head_ready is not None and head_ready <= clock:
-                if fastish and vector is not None:
-                    vector.hint = True
-                break
+            if step == last_step:
+                step = first
+                element += 1
+            else:
+                step += 1
         thread.run_index = index
         if index >= total:
             thread.run_op = None
+            thread.run_plan = None
             thread.run_values = None
             thread.pending_value = None
+        elif fastish and clock < hard and not self._stop_world \
+                and self._vector is not None:
+            # the break was the head-ready one
+            self._vector.hint = True
         self._schedule(thread, clock)
 
     def _exec_bulk(self, thread, op):

@@ -56,6 +56,7 @@ class SimThread:
         self.run_op = None              # the AccessRun being executed
         self.run_index = 0              # next access within the run
         self.run_values = None          # loads accumulated so far
+        self.run_plan = None            # a RmwSeq/StoreSeq's constants
         # vector-executor per-thread memo (engine-owned, perf only):
         # the compiled form of run_op cached by identity (one ``is``
         # check instead of hashing the op dataclass every dispatch) and

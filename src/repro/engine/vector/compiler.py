@@ -1,7 +1,7 @@
 """Compiled-program cache: op objects -> lowered typed columns.
 
-Each engine owns one :class:`RunCompiler`.  Ops are frozen slotted
-dataclasses, so an op's field tuple is its workload identity — two
+Each engine owns one :class:`RunCompiler`.  AccessRun ops are frozen
+slotted dataclasses, so an op's field tuple is its workload identity — two
 ``AccessRun`` instances emitted by successive loop iterations of the
 same site hash equal and share one compiled entry.  The cache is
 per-engine (never shared across runs), which keeps the hit/miss

@@ -38,7 +38,13 @@ class InstrSite:
     width: int
 
 
-@dataclass(frozen=True, slots=True)
+# Load, Store and Compute are built once per executed access or compute
+# step, hundreds of thousands of times per grid, so they are plain
+# slotted dataclasses: a frozen dataclass's __init__ sets each field
+# through object.__setattr__, several times the cost of a plain one.
+# Nothing mutates or hashes them (AccessRun, the one op used as a cache
+# key, stays frozen like every other op).
+@dataclass(slots=True)
 class Load:
     site: InstrSite
     addr: int
@@ -46,7 +52,7 @@ class Load:
     volatile: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Store:
     site: InstrSite
     addr: int
@@ -163,7 +169,7 @@ class Fence:
     site: InstrSite
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Compute:
     """Pure CPU work: advances the clock without touching memory."""
 

@@ -374,6 +374,10 @@ class ResilienceSupervisor:
                           f"({attempt} attempts)")
             else:
                 reason = f"worker crashed {crashed} times"
+            # persist the attempt count before publishing the entry: a
+            # crash between the two writes must not leave a quarantined
+            # cell whose attempts were never recorded
+            self.save_state()
             self.quarantine.add(digest, cell, campaign_id,
                                 attempts=attempt, reason=reason,
                                 error=error)

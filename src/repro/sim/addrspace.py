@@ -67,7 +67,7 @@ class PageState:
     touched: bool = False      # first-touch fault already taken?
 
 
-@dataclass
+@dataclass(slots=True)
 class Translation:
     """Result of a virtual->physical translation."""
 

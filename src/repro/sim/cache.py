@@ -13,6 +13,9 @@ the directory reports a HITM, the hardware event TMI's detector samples.
 
 from repro.sim.costs import LINE_SIZE
 
+#: Clears a physical address's offset within its cache line.
+_LINE_MASK = ~(LINE_SIZE - 1)
+
 #: MESI states (Invalid is represented by absence).
 MODIFIED = "M"
 EXCLUSIVE = "E"
@@ -93,8 +96,8 @@ class CoherenceDirectory:
         ``access`` call.  Callers must consume (or copy) its fields
         before performing another access.
         """
-        first = pa & ~(LINE_SIZE - 1)
-        last = (pa + width - 1) & ~(LINE_SIZE - 1)
+        first = pa & _LINE_MASK
+        last = (pa + width - 1) & _LINE_MASK
         out = self._pool
         out.cost = 0
         out.lines = 1
@@ -102,34 +105,35 @@ class CoherenceDirectory:
             out.hitm_remotes = []
 
         if first == last:
-            entry = self._fast.get(first)
-            if entry is not None and entry[0] == core:
-                _owner, holders, mine = entry
-                mine[0] = now
-                if is_write:
-                    mine[1] = now
-                    if holders[core] is EXCLUSIVE:
-                        holders[core] = MODIFIED
-                    out.cost = self.costs.store_hit
-                else:
-                    out.cost = self.costs.load_hit
-                self.access_count += 1
-                return out
+            fast = self._fast
+            entry = fast.get(first)
+            if entry is not None:
+                if entry[0] == core:
+                    _owner, holders, mine = entry
+                    mine[0] = now
+                    if is_write:
+                        mine[1] = now
+                        if holders[core] is EXCLUSIVE:
+                            holders[core] = MODIFIED
+                        out.cost = self.costs.store_hit
+                    else:
+                        out.cost = self.costs.load_hit
+                    self.access_count += 1
+                    return out
+                del fast[first]
 
             # single-line slow path (the overwhelmingly common shape)
-            self._fast.pop(first, None)
-            self._access_line(core, first, is_write, out)
+            holders = self._access_line(core, first, is_write, out)
             out.cost += self._contention(core, first, is_write, now)
             self.access_count += 1
-
-            holders = self._lines.get(first)
-            if holders is not None and len(holders) == 1:
+            if len(holders) == 1:
                 state = holders.get(core)
                 if state is MODIFIED or state is EXCLUSIVE:
-                    recent = self._recent.get(first)
-                    if recent is not None and len(recent) == 1 \
-                            and core in recent:
-                        self._fast[first] = (core, holders, recent[core])
+                    # _contention has just stamped this core into the
+                    # line's history, so the entry exists
+                    recent = self._recent[first]
+                    if len(recent) == 1:
+                        fast[first] = (core, holders, recent[core])
             return out
 
         out.lines = 0
@@ -187,6 +191,8 @@ class CoherenceDirectory:
                                            self._contend_max_cores)
 
     def _access_line(self, core, line, is_write, out):
+        """Apply one access's MESI transition to ``line``; returns the
+        line's holders dict."""
         costs = self.costs
         holders = self._lines.get(line)
         if holders is None:
@@ -197,7 +203,7 @@ class CoherenceDirectory:
         if not is_write:
             if mine is not None:
                 out.cost += costs.load_hit
-                return
+                return holders
             remote_m = _modified_holder(holders, core)
             if remote_m is not None:
                 # HITM: remote Modified line supplies the data.
@@ -230,16 +236,16 @@ class CoherenceDirectory:
                         self._home_of(line, core) != self._socket_of[core]:
                     out.cost += costs.numa_remote_fill
                     self.remote_mem_fills += 1
-            return
+            return holders
 
         # write
         if mine == MODIFIED:
             out.cost += costs.store_hit
-            return
+            return holders
         if mine == EXCLUSIVE:
             holders[core] = MODIFIED
             out.cost += costs.store_hit
-            return
+            return holders
         remote_m = _modified_holder(holders, core)
         if remote_m is not None:
             # store that invalidates a remote Modified line (store HITM)
@@ -253,7 +259,7 @@ class CoherenceDirectory:
                 out.cost += costs.qpi_hop
                 self.qpi_hops += 1
                 self.hitm_cross_socket_count += 1
-            return
+            return holders
         others = [c for c in holders if c != core]
         if mine == SHARED_ST or others:
             if self._multi:
@@ -265,13 +271,14 @@ class CoherenceDirectory:
                 del holders[other]
             holders[core] = MODIFIED
             out.cost += costs.upgrade if mine == SHARED_ST else costs.mem_fill
-            return
+            return holders
         holders[core] = MODIFIED
         out.cost += costs.mem_fill
         if self._multi and \
                 self._home_of(line, core) != self._socket_of[core]:
             out.cost += costs.numa_remote_fill
             self.remote_mem_fills += 1
+        return holders
 
     # ------------------------------------------------------------------
     def flush_range(self, pa, nbytes):
@@ -282,8 +289,8 @@ class CoherenceDirectory:
         accesses must not keep paying ``contend_penalty`` against its
         pre-flush sharers.
         """
-        first = pa & ~(LINE_SIZE - 1)
-        last = (pa + nbytes - 1) & ~(LINE_SIZE - 1)
+        first = pa & _LINE_MASK
+        last = (pa + nbytes - 1) & _LINE_MASK
         line = first
         while line <= last:
             self._lines.pop(line, None)
@@ -303,7 +310,7 @@ class CoherenceDirectory:
 
     def line_holders(self, pa):
         """{core: state} for the line containing ``pa`` (test hook)."""
-        return dict(self._lines.get(pa & ~(LINE_SIZE - 1), {}))
+        return dict(self._lines.get(pa & _LINE_MASK, {}))
 
     def check_swmr(self):
         """Assert the SWMR invariant over every tracked line.

@@ -10,7 +10,7 @@ huge-page experiments.
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HitmEvent:
     """One access that hit a remote Modified cache line.
 
@@ -18,6 +18,9 @@ class HitmEvent:
     accessor's PC and virtual address, plus simulation-side truth (the
     physical address and remote core) that the detector must *not* use
     directly — it only sees sampled :class:`~repro.oskit.perf.PebsRecord`.
+    Built once per HITM while listeners are attached, so it is a plain
+    slotted dataclass (a frozen one pays ``object.__setattr__`` per
+    field); listeners treat it as read-only.
     """
 
     cycle: int

@@ -88,27 +88,42 @@ class Machine:
         outcome = self.directory.access(core, pa, width, is_write, now=now)
         cost = outcome.cost
         if outcome.hitm_remotes:
-            if not self._hitm_listeners:
-                self.hitm_events += len(outcome.hitm_remotes)
-            else:
-                # snapshot: the outcome is pooled, and listeners may
-                # re-enter mem_access (runtime instrumentation issuing
-                # its own probes)
-                for remote in tuple(outcome.hitm_remotes):
-                    self.hitm_events += 1
-                    event = HitmEvent(
-                        cycle=now, core=core, tid=tid, pc=pc,
-                        va=va, pa=pa, width=width, is_store=is_write,
-                        remote_core=remote,
-                    )
-                    for listener in self._hitm_listeners:
-                        extra = listener(event)
-                        if extra:
-                            cost += extra
+            cost += self.fire_hitm(outcome.hitm_remotes, now, core, tid, pc,
+                                   va, pa, width, is_write)
         if is_write:
             self.physmem.write_int(pa, value, width)
             return cost, None
         return cost, self.physmem.read_int(pa, width)
+
+    def fire_hitm(self, remotes, now, core, tid, pc, va, pa, width,
+                  is_write):
+        """Account the HITMs one access took (``remotes``: the remote
+        cores that held the line Modified) and fire the listeners.
+
+        Returns the extra cycles the listeners charge.  Callers that
+        drive the directory themselves (the engine's access step) call
+        this between the directory and the data movement, exactly where
+        :meth:`mem_access` does.
+        """
+        listeners = self._hitm_listeners
+        if not listeners:
+            self.hitm_events += len(remotes)
+            return 0
+        extra_cost = 0
+        # snapshot: the outcome is pooled, and listeners may re-enter
+        # mem_access (runtime instrumentation issuing its own probes)
+        for remote in tuple(remotes):
+            self.hitm_events += 1
+            event = HitmEvent(
+                cycle=now, core=core, tid=tid, pc=pc,
+                va=va, pa=pa, width=width, is_store=is_write,
+                remote_core=remote,
+            )
+            for listener in listeners:
+                extra = listener(event)
+                if extra:
+                    extra_cost += extra
+        return extra_cost
 
     def advance(self, core, cycles):
         """Advance one core's clock."""

@@ -1,7 +1,5 @@
 """Repair manager mechanics: conversion, protection, page splitting."""
 
-import pytest
-
 from repro.core import TmiConfig, TmiRuntime
 from repro.engine import Engine
 from repro.sim.addrspace import PRIVATE, SHARED
@@ -11,10 +9,14 @@ from helpers import fs_counter_program
 
 
 def run_repair(config=None, **kwargs):
+    """Run the falsely-shared counters under tmi-protect, long enough
+    that the detector always fires one repair episode; every test below
+    asserts on that episode, so a run without one fails here."""
     kwargs.setdefault("iters", 30_000)
     runtime = TmiRuntime("protect", config or TmiConfig())
     engine = Engine(fs_counter_program(**kwargs), runtime)
     result = engine.run()
+    assert runtime.repair.converted, "no repair episode triggered"
     return result, engine, runtime
 
 
@@ -47,22 +49,23 @@ class TestTargetedProtection:
     def test_no_split_when_disabled(self):
         config = TmiConfig(huge_pages=True, repair_page_split=False)
         result, engine, runtime = run_repair(config=config)
-        if runtime.repair.protected_pages:
-            sizes = set(runtime.repair.protected_pages.values())
-            assert sizes == {PAGE_2M}
+        sizes = set(runtime.repair.protected_pages.values())
+        assert sizes == {PAGE_2M}
 
     def test_everywhere_mode_marks_all_app_mappings(self):
         config = TmiConfig(targeted=False, huge_pages=False)
         result, engine, runtime = run_repair(config=config)
-        if not runtime.repair.converted:
-            pytest.skip("no repair episode triggered")
+        private = 0
         for thread in engine.threads.values():
             for mapping in thread.process.aspace.mappings():
                 kind = mapping.name.split(":")[0]
                 if kind in ("heap", "globals", "stack"):
                     assert mapping.mode == PRIVATE
+                    private += 1
                 else:
                     assert mapping.mode == SHARED
+        # every thread runs as its own process with its own app mappings
+        assert private >= 3 * len(engine.threads)
 
 
 class TestConversionBookkeeping:

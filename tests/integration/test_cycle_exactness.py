@@ -2,12 +2,15 @@
 
 ``golden_pr1.json`` holds simulated cycle counts, HITM totals, and op
 counters for one small workload per suite family (phoenix, parsec,
-splash2x, boost, apps/leveldb), each under plain pthreads and full
-tmi-protect.  The numbers were captured *before* the interpreter fast
-paths landed (owner micro-cache, type-keyed dispatch, batched
-``AccessRun``, translation cache, parallel grid runner), so this test
-pins the property those optimizations promised: they change how fast
-the simulator runs, never what it computes.
+splash2x, boost, apps/leveldb).  The plain pthreads and full
+tmi-protect numbers were captured *before* the interpreter fast paths
+landed (owner micro-cache, type-keyed dispatch, batched ``AccessRun``,
+translation cache, parallel grid runner), so this test pins the
+property those optimizations promised: they change how fast the
+simulator runs, never what it computes.  Every other system the grids
+run (LASER's store-buffer override, Sheriff, the TMI stages, the
+manual fix) is pinned on the same workloads wherever its cell runs ok,
+so an engine refactor that drifts any one of them by a cycle fails.
 
 If a change legitimately alters simulated behaviour (a cost-model or
 coherence change, not an optimization), regenerate the file::
@@ -24,6 +27,20 @@ import pytest
 
 GOLDEN_PATH = Path(__file__).with_name("golden_pr1.json")
 GOLDENS = json.loads(GOLDEN_PATH.read_text())
+
+#: The pinned workloads and the scale each runs at.
+GOLDEN_SCALES = {"histogram": 0.12, "histogramfs": 0.25, "kmeans": 0.25,
+                 "leveldb": 0.12, "radix": 0.12, "shptr-relaxed": 0.25,
+                 "spinlockpool": 0.12, "swaptions": 0.12}
+
+#: Systems pinned on every workload, also under the default schedule
+#: policy.
+POLICY_SYSTEMS = ("pthreads", "tmi-protect")
+
+#: Systems pinned wherever their cell runs ok and validates (Sheriff
+#: declines some workloads and breaks one).
+GRID_SYSTEMS = ("laser", "manual", "sheriff-protect", "sheriff-detect",
+                "tmi-alloc", "tmi-detect")
 
 #: Fields every run must reproduce bit-for-bit.
 EXACT_FIELDS = ("status", "cycles", "hitm_loads", "hitm_stores",
@@ -64,7 +81,8 @@ def test_workload_is_cycle_exact(key):
         f"(got, want): {mismatches}; {REGEN_HINT}")
 
 
-@pytest.mark.parametrize("key", sorted(GOLDENS))
+@pytest.mark.parametrize("key", sorted(
+    key for key in GOLDENS if key.split("/")[1] in POLICY_SYSTEMS))
 def test_default_policy_is_byte_identical(key):
     """SchedulePolicy('default') must match the heap scheduler —
     pinned against the same goldens, so the per-access decision points
@@ -101,18 +119,29 @@ def test_goldens_are_fresh():
             f"golden {key} suite drifted; {REGEN_HINT}")
         assert golden["status"] == "ok" and golden["validated"], (
             f"golden {key} pins a failing run; {REGEN_HINT}")
+        assert golden["scale"] == GOLDEN_SCALES.get(name), (
+            f"golden {key} is off the pinned manifest; {REGEN_HINT}")
+        assert system in POLICY_SYSTEMS + GRID_SYSTEMS, (
+            f"golden {key} pins an unlisted system; {REGEN_HINT}")
+    for name in GOLDEN_SCALES:
+        for system in POLICY_SYSTEMS:
+            assert f"{name}/{system}" in GOLDENS, (
+                f"golden {name}/{system} is missing; {REGEN_HINT}")
 
 
 def _regenerate():
     from repro.eval.runner import run_workload
     from repro.workloads import get as get_workload
     fresh = {}
-    for key, golden in sorted(GOLDENS.items()):
-        name, system = key.split("/")
-        entry = observe(name, system, golden["scale"])
-        entry["scale"] = golden["scale"]
-        entry["suite"] = get_workload(name).suite
-        fresh[key] = entry
+    for name, scale in sorted(GOLDEN_SCALES.items()):
+        for system in POLICY_SYSTEMS + GRID_SYSTEMS:
+            entry = observe(name, system, scale)
+            if system in GRID_SYSTEMS and not (
+                    entry["status"] == "ok" and entry["validated"]):
+                continue
+            entry["scale"] = scale
+            entry["suite"] = get_workload(name).suite
+            fresh[f"{name}/{system}"] = entry
     GOLDEN_PATH.write_text(json.dumps(fresh, indent=1, sort_keys=True)
                            + "\n")
     print(f"rewrote {GOLDEN_PATH} ({len(fresh)} entries)")
