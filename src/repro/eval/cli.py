@@ -345,9 +345,10 @@ def _service_command(args):
         service = CampaignService(root=args.root, jobs=args.jobs,
                                   timeout=args.timeout,
                                   resilience=not args.no_resilience)
-        done = asyncio.run(service.serve(once=args.once,
-                                         poll=args.poll,
-                                         drain=args.drain))
+        with service:
+            done = asyncio.run(service.serve(once=args.once,
+                                             poll=args.poll,
+                                             drain=args.drain))
         for job in done:
             print(_campaign_summary(job.to_dict()))
         if service.resilience is not None:
@@ -380,9 +381,10 @@ def _service_command(args):
                 priority=args.priority, name=args.name,
                 tenant=args.tenant)
         if args.run:
-            service = CampaignService(root=args.root, jobs=args.jobs)
-            job = service.run_spec(spec,
-                                   campaign_id=args.campaign_id)
+            with CampaignService(root=args.root,
+                                 jobs=args.jobs) as service:
+                job = service.run_spec(spec,
+                                       campaign_id=args.campaign_id)
             print(_campaign_summary(job.to_dict()))
             return 0 if job.status == "completed" else 1
         client = ServiceClient(root=args.root)

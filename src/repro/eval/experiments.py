@@ -807,6 +807,8 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
                               tenant_weights={"acme": 2, "bolt": 1})
 
     def run_once(service_root, chaotic):
+        # the returned service only answers queries: its workers are
+        # reaped before it is handed back
         service = CampaignService(root=service_root, jobs=jobs,
                                   resilience=policy)
         for cid, spec in specs.items():
@@ -819,7 +821,7 @@ def resilience_chaos(scale=0.05, jobs=None, root=None):
             os.makedirs(os.path.dirname(ckpt), exist_ok=True)
             with open(ckpt, "w") as fh:
                 fh.write('{"format": "repro-grid-checkpoint/1", tru')
-        with warnings.catch_warnings():
+        with service, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             asyncio.run(service.serve(once=True))
             asyncio.run(service.serve(drain=True))

@@ -23,8 +23,9 @@ class ServiceClient:
 
     def __init__(self, root=None):
         # the service object doubles as the directory-layout oracle;
-        # the client never touches its scheduler
+        # the client never runs a cell, so its pool is closed unforked
         self._service = CampaignService(root=root)
+        self._service.close()
         self.root = self._service.root
 
     def submit(self, spec, campaign_id=None):

@@ -32,9 +32,11 @@ file.
 import asyncio
 import json
 import os
+import weakref
 
 from repro.eval.grid import checkpoint_path, run_checkpointed
-from repro.eval.parallel import CELL_OK, CELL_TIMEOUT, job_count
+from repro.eval.parallel import (CELL_OK, CELL_TIMEOUT, WorkerPool,
+                                 job_count)
 from repro.obs import EventLog, MetricsRegistry
 from repro.service.resilience import (CELL_HUNG, CELL_QUARANTINED,
                                       RETRYING, SOURCE_QUARANTINE)
@@ -139,7 +141,7 @@ class CampaignJob:
 
 
 class CampaignScheduler:
-    """Shards campaign cells across the hardened worker pools.
+    """Shards campaign cells across the hardened worker pool.
 
     ``queue_limit`` bounds the submission queue.  Submission and
     draining run in one asyncio task (``serve``/``submit_stream`` call
@@ -152,6 +154,12 @@ class CampaignScheduler:
     ``shard_cells`` controls how many cells go to the pool per
     scheduling quantum (default: two batches' worth of workers,
     matching the grid's checkpoint cadence).
+
+    Every shard runs on one :class:`~repro.eval.parallel.WorkerPool`
+    the scheduler owns for its lifetime: the first pooled shard forks
+    ``jobs`` workers and later shards reuse them.  :meth:`close` reaps
+    them; a scheduler dropped without ``close`` reaps them when it is
+    garbage-collected.
     """
 
     def __init__(self, store=None, state_dir=None, checkpoint_dir=None,
@@ -163,6 +171,9 @@ class CampaignScheduler:
         self.jobs = jobs
         self.timeout = timeout
         self.shard_cells = shard_cells or max(1, job_count(jobs)) * 2
+        self.pool = WorkerPool(jobs)
+        # the callback holds the pool, never the scheduler
+        self._reap = weakref.finalize(self, self.pool.close)
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         #: Optional :class:`~repro.service.resilience.
@@ -181,6 +192,11 @@ class CampaignScheduler:
         #: jobs a full-queue submit drained inline, not yet reported
         #: through run_pending
         self._drained = []
+
+    def close(self):
+        """Shut the worker pool down and reap its workers."""
+        self._reap.detach()
+        self.pool.close()
 
     def _live_queue(self):
         """The submission queue, created in the running event loop.
@@ -407,7 +423,7 @@ class CampaignScheduler:
                 run_checkpointed, [cell for cell, _ in shard],
                 f"campaign-{job.id}", jobs=self.jobs,
                 timeout=shard_timeout, out_dir=self.checkpoint_dir,
-                fallback_fresh=True)
+                fallback_fresh=True, pool=self.pool)
             for (cell, digest), record in zip(shard, records):
                 source = (SOURCE_CHECKPOINT if record.from_checkpoint
                           else SOURCE_EXECUTED)

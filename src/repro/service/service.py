@@ -44,7 +44,9 @@ class CampaignService:
 
     ``root`` defaults under ``results/`` (``REPRO_RESULTS_DIR`` aware);
     tests point it at a tmpdir.  ``jobs``/``timeout`` forward to the
-    hardened grid pool per shard.
+    hardened grid pool per shard.  The scheduler's worker pool lives as
+    long as the service; :meth:`close` (or leaving a ``with`` block)
+    reaps its workers.
     """
 
     def __init__(self, root=None, jobs=None, timeout=None,
@@ -74,6 +76,16 @@ class CampaignService:
             resilience=self.resilience)
         for directory in (self.inbox_dir, self.campaigns_dir):
             os.makedirs(directory, exist_ok=True)
+
+    def close(self):
+        """Reap the scheduler's pool workers."""
+        self.scheduler.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     # ------------------------------------------------------------------
     # identity
