@@ -16,7 +16,6 @@ a resumed cell comes back with ``from_checkpoint=True`` and its summary,
 which is what grid-level reporting consumes.
 """
 
-import contextlib
 import json
 import os
 import time
@@ -24,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import CheckpointError
-from repro.eval.parallel import (CELL_OK, WorkerPool, job_count,
+from repro.eval.parallel import (CELL_OK, job_count,
                                  run_cells_recorded)
 from repro.eval.report import results_dir
 
@@ -136,9 +135,8 @@ def run_checkpointed(cells, name, jobs=None, timeout=None,
     the behavior long-running services want, where losing a resume is
     recoverable but crashing the campaign is not.
 
-    Every batch runs on ``pool`` (the caller's
-    :class:`~repro.eval.parallel.WorkerPool`), or on one pool held for
-    this call.
+    ``pool`` (a :class:`~repro.eval.parallel.WorkerPool`) is passed to
+    every batch; without one each batch opens and closes its own.
     """
     cells = list(cells)
     path = checkpoint_path(name, out_dir=out_dir)
@@ -167,27 +165,23 @@ def run_checkpointed(cells, name, jobs=None, timeout=None,
             pending.append(index)
 
     batch = max(1, job_count(jobs)) * 2
-    scope = (contextlib.nullcontext(pool) if pool is not None
-             else WorkerPool(min(job_count(jobs), len(pending))))
-    with scope as pool:
-        for base in range(0, len(pending), batch):
-            chunk = pending[base:base + batch]
-            start = time.monotonic()
-            records = run_cells_recorded([cells[i] for i in chunk],
-                                         jobs=jobs, timeout=timeout,
-                                         pool=pool)
-            share = (time.monotonic() - start) / max(1, len(chunk))
-            for index, record in zip(chunk, records):
-                summary = summarize_outcome(record.outcome)
-                results[index] = GridCell(
-                    cell=dict(cells[index]), status=record.status,
-                    retried=record.retried, error=record.error,
-                    summary=summary, outcome=record.outcome,
-                    elapsed=share)
-                entries[cell_key(cells[index])] = {
-                    "status": record.status, "retried": record.retried,
-                    "error": record.error, "summary": summary}
-            _write_checkpoint(path, entries)
+    for base in range(0, len(pending), batch):
+        chunk = pending[base:base + batch]
+        start = time.monotonic()
+        records = run_cells_recorded([cells[i] for i in chunk],
+                                     jobs=jobs, timeout=timeout, pool=pool)
+        share = (time.monotonic() - start) / max(1, len(chunk))
+        for index, record in zip(chunk, records):
+            summary = summarize_outcome(record.outcome)
+            results[index] = GridCell(
+                cell=dict(cells[index]), status=record.status,
+                retried=record.retried, error=record.error,
+                summary=summary, outcome=record.outcome,
+                elapsed=share)
+            entries[cell_key(cells[index])] = {
+                "status": record.status, "retried": record.retried,
+                "error": record.error, "summary": summary}
+        _write_checkpoint(path, entries)
     if not pending:
         # nothing ran, but materialize the checkpoint for fresh grids
         _write_checkpoint(path, entries)

@@ -15,9 +15,8 @@ when bisecting determinism bugs.
 
 Pooled batches run on a :class:`WorkerPool`, which forks its workers
 on the first batch and reuses them for every later batch of the same
-owner: a campaign service keeps one for its lifetime, a multi-batch
-caller (a checkpointed grid, the fuzzer, a chaos campaign) one per
-call, and :func:`run_cells_recorded` without a pool one per call.
+owner: a campaign service keeps one for its lifetime, and
+:func:`run_cells_recorded` without a pool opens one per call.
 Reusing a worker cannot change a cell's bytes — cells share nothing,
 and the serial loop already runs a whole grid in one process.
 
@@ -109,7 +108,11 @@ def _run_pooled(cell, faults):
 
     A reused worker's environment is the parent's at fork time, so the
     parent sends ``REPRO_HARNESS_FAULTS`` with every task: arming or
-    disarming the seam after the fork reaches the next batch.
+    disarming the seam after the fork reaches the next batch.  No
+    current caller needs this: the resilience chaos campaign arms the
+    seam before its service's first batch and disarms it after the
+    pool closes.  Without it, a pool kept across a change of plan would
+    run every batch under the plan armed at fork time.
     """
     if faults:
         os.environ[_HARNESS_FAULTS_ENV] = faults
@@ -269,22 +272,20 @@ def _run_pooled_batch(cells, timeout, pool):
     return records
 
 
-def run_cells(cells, jobs=None, timeout=None, pool=None):
+def run_cells(cells, jobs=None, timeout=None):
     """Run ``run_workload(**cell)`` for every cell; returns outcomes in
     input order.
 
     ``cells`` is a sequence of keyword dicts for
     :func:`repro.eval.runner.run_workload`.  With ``jobs > 1`` the cells
-    execute on pool workers (``pool`` or a scoped
-    :class:`WorkerPool`); the outcomes (and
+    execute on a scoped :class:`WorkerPool`; the outcomes (and
     every simulated cycle/HITM count inside them) are identical to the
     serial loop's.  A broken pool is recovered by re-running only the
     unfinished cells serially; a cell that fails even serially (or
     times out) raises — callers wanting per-cell failure records use
     :func:`run_cells_recorded`.
     """
-    records = run_cells_recorded(cells, jobs=jobs, timeout=timeout,
-                                 pool=pool)
+    records = run_cells_recorded(cells, jobs=jobs, timeout=timeout)
     for record in records:
         if record.status != CELL_OK:
             raise RuntimeError(

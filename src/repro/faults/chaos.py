@@ -29,8 +29,7 @@ identity check.
 import time
 from dataclasses import dataclass, field
 
-from repro.eval.parallel import (CELL_OK, WorkerPool, job_count,
-                                 run_cells_recorded)
+from repro.eval.parallel import CELL_OK, run_cells_recorded
 from repro.eval.runner import OK, run_workload
 from repro.faults.plan import FaultPlan, default_rates
 from repro.workloads import repair_suite_names
@@ -204,16 +203,10 @@ def chaos_repair_suite(seeds=16, workloads=None, scale=0.1,
         coord = (plan.workload, plan.scale, plan.nthreads, plan.variant)
         if coord not in coords:
             coords.append(coord)
-    # the baselines and the chaos cells share one set of workers
-    with WorkerPool(min(job_count(jobs), len(plans))) as pool:
-        baseline_records = run_cells_recorded(
-            [dict(name=w, system=baseline_system, scale=s, nthreads=n,
-                  variant=v, collect_state=True)
-             for w, s, n, v in coords],
-            jobs=jobs, timeout=timeout, pool=pool)
-        records = run_cells_recorded(
-            [_cell_for(plan) for plan in plans], jobs=jobs,
-            timeout=timeout, pool=pool)
+    baseline_records = run_cells_recorded(
+        [dict(name=w, system=baseline_system, scale=s, nthreads=n,
+              variant=v, collect_state=True)
+         for w, s, n, v in coords], jobs=jobs, timeout=timeout)
     baselines = {}
     for coord, record in zip(coords, baseline_records):
         if record.status == CELL_OK and record.outcome.ok:
@@ -221,6 +214,8 @@ def chaos_repair_suite(seeds=16, workloads=None, scale=0.1,
         else:
             baselines[coord] = None
 
+    records = run_cells_recorded([_cell_for(plan) for plan in plans],
+                                 jobs=jobs, timeout=timeout)
     cells = []
     for plan, record in zip(plans, records):
         coord = (plan.workload, plan.scale, plan.nthreads, plan.variant)

@@ -24,7 +24,7 @@ control (a race-free workload must come back clean).
 import time
 from dataclasses import dataclass, field
 
-from repro.eval.parallel import WorkerPool, job_count, run_cells
+from repro.eval.parallel import job_count, run_cells
 from repro.eval.runner import OK, run_workload
 from repro.schedule.shrink import shrink_decisions
 from repro.schedule.trace import ScheduleTrace, race_signatures
@@ -182,30 +182,25 @@ def fuzz_workload(name, system="pthreads", policy="random", seeds=16,
     budget_exhausted = False
     batch = max(1, job_count(jobs))
     pending = list(seeds)
-    # one set of workers for every chunk
-    with WorkerPool(min(batch, len(pending))) as pool:
-        while pending:
-            if budget is not None and time.monotonic() - start >= budget:
-                budget_exhausted = True
-                break
-            chunk, pending = pending[:batch], pending[batch:]
-            cells = [dict(cell_kwargs, max_cycles=max_cycles,
-                          schedule=_policy_spec(policy, seed))
-                     for seed in chunk]
-            outcomes = run_cells(cells, jobs=jobs, pool=pool)
-            for seed, outcome in zip(chunk, outcomes):
-                ran.append(seed)
-                kind, detail, signatures = classify_outcome(
-                    outcome, baseline_state)
-                if kind is None:
-                    continue
-                decisions = list(
-                    (outcome.trace or {}).get("decisions", ()))
-                findings.append(FuzzFinding(
-                    workload=name, system=system,
-                    policy=_policy_name(policy), seed=seed, kind=kind,
-                    detail=detail, signatures=signatures,
-                    decisions=decisions))
+    while pending:
+        if budget is not None and time.monotonic() - start >= budget:
+            budget_exhausted = True
+            break
+        chunk, pending = pending[:batch], pending[batch:]
+        cells = [dict(cell_kwargs, max_cycles=max_cycles,
+                      schedule=_policy_spec(policy, seed))
+                 for seed in chunk]
+        for seed, outcome in zip(chunk, run_cells(cells, jobs=jobs)):
+            ran.append(seed)
+            kind, detail, signatures = classify_outcome(
+                outcome, baseline_state)
+            if kind is None:
+                continue
+            decisions = list((outcome.trace or {}).get("decisions", ()))
+            findings.append(FuzzFinding(
+                workload=name, system=system, policy=_policy_name(policy),
+                seed=seed, kind=kind, detail=detail,
+                signatures=signatures, decisions=decisions))
 
     deadline = (start + budget) if budget is not None else None
     shrunk = 0
