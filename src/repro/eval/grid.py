@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.errors import CheckpointError
 from repro.eval.parallel import (CELL_OK, job_count,
                                  run_cells_recorded)
-from repro.eval.report import results_dir
+from repro.eval.report import results_dir, write_json
 
 #: Versioned checkpoint format tag.
 CHECKPOINT_FORMAT = "repro-grid-checkpoint/1"
@@ -106,16 +106,6 @@ def load_checkpoint(path):
     return cells
 
 
-def _write_checkpoint(path, entries):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump({"format": CHECKPOINT_FORMAT, "cells": entries},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 def run_checkpointed(cells, name, jobs=None, timeout=None,
                      out_dir=None, fresh=False, fallback_fresh=False,
                      pool=None):
@@ -164,6 +154,7 @@ def run_checkpointed(cells, name, jobs=None, timeout=None,
         else:
             pending.append(index)
 
+    checkpoint = {"format": CHECKPOINT_FORMAT, "cells": entries}
     batch = max(1, job_count(jobs)) * 2
     for base in range(0, len(pending), batch):
         chunk = pending[base:base + batch]
@@ -181,10 +172,10 @@ def run_checkpointed(cells, name, jobs=None, timeout=None,
             entries[cell_key(cells[index])] = {
                 "status": record.status, "retried": record.retried,
                 "error": record.error, "summary": summary}
-        _write_checkpoint(path, entries)
+        write_json(path, checkpoint)
     if not pending:
         # nothing ran, but materialize the checkpoint for fresh grids
-        _write_checkpoint(path, entries)
+        write_json(path, checkpoint)
     return results
 
 

@@ -1,5 +1,6 @@
 """Plain-text table rendering and results persistence."""
 
+import json
 import os
 
 
@@ -56,6 +57,33 @@ def results_dir():
                           os.path.join(os.getcwd(), "results"))
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def write_json(path, data, last=None):
+    """Atomically write ``data`` as compact JSON; returns the text.
+
+    The one writer of the service's state, store and checkpoint files:
+    sorted keys and no ``indent``, so CPython's C encoder does the
+    encoding (``python -m json.tool`` pretty-prints a file).  The text
+    goes to ``<path>.tmp`` in one write and is renamed over ``path``,
+    so a crash never leaves a half-written file.  The parent directory
+    is created only when the first open finds it missing.  ``last`` is
+    the text the caller wrote to ``path`` before: when the new text
+    equals it, nothing is written.
+    """
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    if text == last:
+        return text
+    tmp = path + ".tmp"
+    try:
+        fh = open(tmp, "w")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fh = open(tmp, "w")
+    with fh:
+        fh.write(text)
+    os.replace(tmp, path)
+    return text
 
 
 def save_text(name, text):

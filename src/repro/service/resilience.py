@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.eval.parallel import CELL_OK
+from repro.eval.report import write_json
 
 #: Versioned quarantine-entry format tag.
 QUARANTINE_FORMAT = "repro-quarantine/1"
@@ -130,17 +131,6 @@ class ResiliencePolicy:
         return value
 
 
-def _write_json(path: str, data: Dict[str, Any]) -> str:
-    """Atomically (tmp + rename) write ``data`` as JSON; returns path."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
-
-
 class Quarantine:
     """Persisted poison-cell registry keyed by cell digest.
 
@@ -164,7 +154,9 @@ class Quarantine:
                  "campaign": campaign_id, "cell": dict(cell),
                  "attempts": attempts, "reason": reason,
                  "error": error}
-        return _write_json(self.path(digest), entry)
+        path = self.path(digest)
+        write_json(path, entry)
+        return path
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
         """The quarantine entry for ``digest``, or None."""
@@ -300,6 +292,8 @@ class ResilienceSupervisor:
         self.queues = TenantQueues(self.policy)
         #: campaign id -> (due round, job) awaiting its retry round.
         self._retry_jobs: Dict[str, Tuple[int, Any]] = {}
+        #: path -> the text this instance last wrote there
+        self._written: Dict[str, str] = {}
         self.load_state()
 
     # ------------------------------------------------------------------
@@ -494,15 +488,23 @@ class ResilienceSupervisor:
 
     def save_state(self) -> str:
         """Atomically persist supervision + health state; returns the
-        supervision artifact's path."""
-        _write_json(self.health_path, {
+        supervision artifact's path.
+
+        A file whose text equals what this instance last wrote there
+        is not rewritten (a new instance writes on its first save).
+        """
+        health = {
             "round": self.round,
             "campaign_retries": dict(sorted(
                 self.campaign_retries.items())),
             "crashes": {cid: dict(sorted(per.items()))
                         for cid, per in sorted(self.crashes.items())},
-            "timings": dict(sorted(self.timings.items()))})
-        return _write_json(self.state_path, self.snapshot())
+            "timings": dict(sorted(self.timings.items()))}
+        for path, data in ((self.health_path, health),
+                           (self.state_path, self.snapshot())):
+            self._written[path] = write_json(path, data,
+                                             self._written.get(path))
+        return self.state_path
 
     def load_state(self) -> bool:
         """Restore persisted supervision/health state (best-effort).

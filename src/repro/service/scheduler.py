@@ -37,6 +37,7 @@ import weakref
 from repro.eval.grid import checkpoint_path, run_checkpointed
 from repro.eval.parallel import (CELL_OK, CELL_TIMEOUT, WorkerPool,
                                  job_count)
+from repro.eval.report import write_json
 from repro.obs import EventLog, MetricsRegistry
 from repro.service.resilience import (CELL_HUNG, CELL_QUARANTINED,
                                       RETRYING, SOURCE_QUARANTINE)
@@ -113,12 +114,7 @@ class CampaignJob:
 
     def write_state(self):
         """Atomically persist the state file; returns its path."""
-        os.makedirs(os.path.dirname(self.state_path), exist_ok=True)
-        tmp = self.state_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.state_path)
+        write_json(self.state_path, self.to_dict())
         return self.state_path
 
     def load_state(self):
@@ -364,7 +360,6 @@ class CampaignScheduler:
         ok/failed/timeout/retried classification carried in the state).
         """
         metrics = self.metrics
-        job.load_state()  # no-op for new campaigns, resume for crashed
         job.status = RUNNING
         job.log.emit("campaign_started")
         self.metrics.gauge("campaign.active").add(1)
@@ -410,7 +405,8 @@ class CampaignScheduler:
             job.log.emit("quarantine_skipped", cells=quarantined_now)
         if deferred_now:
             job.log.emit("cells_deferred", cells=deferred_now)
-        job.write_state()
+        if pending:
+            job.write_state()
 
         for base in range(0, len(pending), self.shard_cells):
             shard = pending[base:base + self.shard_cells]
@@ -478,13 +474,15 @@ class CampaignScheduler:
                          failed=counts["failed"],
                          timeout=counts[CELL_TIMEOUT])
         job.write_state()
-        if job.status == COMPLETED:
-            # fully absorbed into the store + state; drop the grid
-            # checkpoint so results/checkpoints/ doesn't grow unbounded
-            path = checkpoint_path(f"campaign-{job.id}",
-                                   out_dir=self.checkpoint_dir)
-            if os.path.exists(path):
-                os.remove(path)
+        if job.status in (COMPLETED, FAILED):
+            # terminal: state and store hold everything a resubmission
+            # needs, so drop the grid checkpoint; results/checkpoints/
+            # would otherwise grow with every finished campaign
+            try:
+                os.remove(checkpoint_path(f"campaign-{job.id}",
+                                          out_dir=self.checkpoint_dir))
+            except FileNotFoundError:
+                pass
         metrics.counter("campaign.jobs_" + job.status).inc()
         self.metrics.gauge("campaign.active").add(-1)
         return job

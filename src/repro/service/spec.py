@@ -19,11 +19,11 @@ digests for those cells and share results.
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field, fields as dc_fields
 
 from repro.core.config import TmiConfig
 from repro.errors import CampaignSpecError
+from repro.eval.report import write_json
 from repro.eval.systems import SYSTEM_NAMES
 from repro.workloads import has as workload_exists
 
@@ -204,12 +204,7 @@ class CampaignSpec:
 
     def save(self, path):
         """Write the spec JSON to ``path`` (atomic); returns the path."""
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_dict())
         return path
 
     @classmethod

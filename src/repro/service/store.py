@@ -30,7 +30,7 @@ import os
 
 from repro import __version__ as ENGINE_VERSION
 from repro.eval.parallel import CELL_OK
-from repro.eval.report import results_dir
+from repro.eval.report import results_dir, write_json
 
 #: Versioned store-entry format tag.
 STORE_FORMAT = "repro-cell-result/1"
@@ -160,18 +160,13 @@ class ResultStore:
             return None
         digest = cell_digest(cell)
         path = self.path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         result = result_payload(status, summary, error)
         entry = {"format": STORE_FORMAT, "digest": digest,
                  "key": json.loads(canonical_form(cell)),
                  "payload_sha256": hashlib.sha256(
                      payload_bytes(result)).hexdigest(),
                  "result": result}
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(entry, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json(path, entry)
         return path
 
     def stats(self):

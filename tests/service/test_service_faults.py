@@ -101,6 +101,17 @@ class TestTimeout:
         (lreg_cell,) = spec_of("lreg").cells()
         assert service.store.get(cell_digest(lreg_cell)) is None
 
+    def test_failed_campaign_drops_its_checkpoint(self, fault_pool,
+                                                  tmp_path):
+        root = tmp_path / "svc"
+        service = CampaignService(root=str(root), jobs=2,
+                                  timeout=0.75)
+        job = service.run_spec(spec_of("histogram", "lreg"),
+                               campaign_id="slow-3")
+        assert job.status == FAILED
+        # the shard did checkpoint; the terminal status removed it
+        assert os.listdir(root / "checkpoints") == []
+
     def test_resubmit_reexecutes_only_the_unfinished_cell(
             self, fault_pool, tmp_path, monkeypatch):
         service = CampaignService(root=str(tmp_path / "svc"), jobs=2,
