@@ -406,6 +406,9 @@ class CampaignScheduler:
         if deferred_now:
             job.log.emit("cells_deferred", cells=deferred_now)
         if pending:
+            # only a shard makes progress worth a write before the
+            # final one; a crash before that leaves ``pending``, which
+            # resume_incomplete re-enqueues and the store re-serves
             job.write_state()
 
         for base in range(0, len(pending), self.shard_cells):
